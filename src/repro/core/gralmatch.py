@@ -1,9 +1,11 @@
 """GraLMatch Graph Cleanup (paper Algorithm 1) on Spark.
 
 The cleanup operates independently per connected component of the
-prediction graph, so it parallelizes over components: edges are labeled
-with their component (DataFrame-API connected components), grouped by
-component, and Algorithm 1 runs inside ``applyInPandas`` on each group.
+prediction graph, so it parallelizes over components: the caller labels
+the edges' records with their component once
+(:func:`repro.graph.connected_components.components_of_edges`), the edges
+are grouped by component, and Algorithm 1 runs inside ``applyInPandas`` on
+each group.
 
 Algorithm 1 (per component, thresholds γ >= μ):
 
@@ -21,7 +23,6 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graph.algorithms import Graph, edge_betweenness, min_edge_cut
-from repro.graph.connected_components import components_of_edges
 
 #: Component size above which Token-Overlap edges are dropped (Section 4.2.1).
 PRE_CLEANUP_SIZE = 50
@@ -32,8 +33,10 @@ def cleanup_component(edges: list, gamma: int, mu: int) -> dict:
 
     Returns ``{record: final_group}`` where the group id is the minimum
     record id of the final sub-component (stable and globally unique).
+    The edges are put in one canonical order first, so the result depends
+    only on the set of edges, not on their order or orientation.
     """
-    g = Graph(edges)
+    g = Graph(sorted((u, v) if u < v else (v, u) for u, v in edges))
 
     def largest(min_size: int) -> set | None:
         comps = g.components()
@@ -62,15 +65,17 @@ def cleanup_component(edges: list, gamma: int, mu: int) -> dict:
     return {r: min(comp) for comp in g.components() for r in comp}
 
 
-def pre_cleanup(edges: DataFrame, gamma_pre: int = PRE_CLEANUP_SIZE) -> DataFrame:
+def pre_cleanup(edges: DataFrame, labels: DataFrame,
+                gamma_pre: int = PRE_CLEANUP_SIZE) -> DataFrame:
     """Section 4.2.1: drop edges whose only provenance is the Token Overlap
     blocking when they lie inside a connected component larger than
     ``gamma_pre`` records.
 
     ``edges`` columns: ``src``, ``dst``, ``from_token_overlap`` (boolean).
+    ``labels``: ``(id, component)`` of the records in ``edges``, as
+    ``components_of_edges(edges)`` returns them.
     Returns the surviving edges with the same columns.
     """
-    labels = components_of_edges(edges)
     sizes = labels.groupBy("component").agg(F.count("*").alias("comp_size"))
     labeled = (
         edges.join(labels.withColumnRenamed("id", "src"), "src")
@@ -81,19 +86,21 @@ def pre_cleanup(edges: DataFrame, gamma_pre: int = PRE_CLEANUP_SIZE) -> DataFram
     ).select("src", "dst", "from_token_overlap")
 
 
-def gralmatch(edges: DataFrame, gamma: int, mu: int) -> DataFrame:
+def gralmatch(edges: DataFrame, labels: DataFrame, gamma: int,
+              mu: int) -> DataFrame:
     """Distributed GraLMatch Graph Cleanup.
 
     ``edges``: DataFrame with ``src``, ``dst`` (undirected predicted
-    matches). Returns the final group assignment ``(id, group)`` for every
-    record that appears in an edge. Records not present are implicit
-    singleton groups (callers handle them with a left join).
+    matches). ``labels``: ``(id, component)`` of the records in ``edges``,
+    as ``components_of_edges(edges)`` returns them. Returns the final group
+    assignment ``(id, group)`` for every record that appears in an edge.
+    Records not present are implicit singleton groups (callers handle them
+    with a left join).
 
     Setting ``gamma == mu`` yields the paper's -MEC variant (Minimum Edge
     Cut only); ``gamma`` larger than any component yields -BC (Betweenness
     only).
     """
-    labels = components_of_edges(edges)
     labeled = edges.join(
         labels.withColumnRenamed("id", "src"), "src"
     ).select("src", "dst", "component")

@@ -37,7 +37,10 @@ class StageScores:
     n_candidates: int
     inference_seconds: float
     assignment: DataFrame  # final (id, group) incl. implicit singletons
-    pred_edges: DataFrame  # positively predicted pairs (for sensitivity runs)
+    # Input of Algorithm 1, reused by the sensitivity runs: the predicted
+    # pairs after pre-cleanup, and their (id, component) labels.
+    edges: DataFrame
+    labels: DataFrame
 
 
 def candidate_pairs(kind: str, records: DataFrame,
@@ -110,31 +113,35 @@ def run_group_matching(records: DataFrame, kind: str, model: TrainedModel,
     pw = pairwise_scores(pred, records)
 
     # Stage 2: transitive closure of the raw predictions.
-    pre_labels = components_of_edges(pred).withColumnRenamed(
-        "component", "group")
-    pre = closure_scores(pre_labels, records)
-    pre["purity"] = cluster_purity(pre_labels, records)
+    labels = components_of_edges(pred)
+    pre_groups = labels.withColumnRenamed("component", "group")
+    pre = closure_scores(pre_groups, records)
+    pre["purity"] = cluster_purity(pre_groups, records)
 
-    # Stage 3: pre-cleanup + Algorithm 1 (GraLMatch).
+    # Stage 3: pre-cleanup + Algorithm 1 (GraLMatch). Pre-cleanup changes
+    # the edge set, so its survivors get their own labels.
     if apply_pre_cleanup is None:
         apply_pre_cleanup = kind in ("companies", "products")
-    post, post_labels = post_stage(pred, records, gamma, mu, apply_pre_cleanup)
+    edges = pred
+    if apply_pre_cleanup:
+        edges = materialize(pre_cleanup(pred, labels))
+        labels = components_of_edges(edges)
+    post, post_labels = post_stage(edges, labels, records, gamma, mu)
 
     return StageScores(
         pairwise=pw, pre_cleanup=pre, post_cleanup=post,
         n_candidates=n_candidates, inference_seconds=inference_seconds,
         assignment=full_assignment(records, post_labels),
-        pred_edges=pred,
+        edges=edges, labels=labels,
     )
 
 
-def post_stage(pred: DataFrame, records: DataFrame, gamma: int, mu: int,
-               apply_pre_cleanup: bool) -> tuple[dict, DataFrame]:
-    """Stage 3 alone, reusable with different (γ, μ) on the same predicted
-    edges — the paper's -MEC / ½γ / -BC sensitivity variants."""
+def post_stage(edges: DataFrame, labels: DataFrame, records: DataFrame,
+               gamma: int, mu: int) -> tuple[dict, DataFrame]:
+    """Algorithm 1 alone, reusable with different (γ, μ) on the same
+    labelled edges — the paper's -MEC / ½γ / -BC sensitivity variants."""
     t0 = time.time()
-    edges = pre_cleanup(pred) if apply_pre_cleanup else pred
-    post_labels = materialize(gralmatch(edges, gamma, mu))
+    post_labels = materialize(gralmatch(edges, labels, gamma, mu))
     post = closure_scores(post_labels, records)
     post["purity"] = cluster_purity(post_labels, records)
     post["cleanup_seconds"] = time.time() - t0

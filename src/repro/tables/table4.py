@@ -77,8 +77,8 @@ def run_table4(datasets: dict, seed: int = 0,
                     "distilbert128_all_halfgamma": (ds.gamma // 2, ds.mu),
                     "distilbert128_all_bc": (10**9, ds.mu),
                 }.items():
-                    post, _ = post_stage(scores.pred_edges, ds.records,
-                                         g, m, apply_pre_cleanup=True)
+                    post, _ = post_stage(scores.edges, scores.labels,
+                                         ds.records, g, m)
                     rows.append((name, vname, {
                         "pairwise": _row(scores)["pairwise"],
                         "pre": _row(scores)["pre"],

@@ -76,3 +76,13 @@ class TestConnectedComponents:
     def test_components_of_edges_only_edge_vertices(self, spark):
         labels = _labels(components_of_edges(_edges_df(spark, [(3, 8)])))
         assert labels == {3: 3, 8: 3}
+
+    def test_empty_edges_give_empty_labels(self, spark):
+        out = components_of_edges(spark.createDataFrame(
+            [], "src long, dst long"))
+        assert out.schema.simpleString() == "struct<id:bigint,component:bigint>"
+        assert out.count() == 0
+
+    def test_self_loop_is_own_component(self, spark):
+        labels = _labels(components_of_edges(_edges_df(spark, [(4, 4)])))
+        assert labels == {4: 4}
