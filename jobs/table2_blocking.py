@@ -7,10 +7,9 @@ Usage: spark-submit jobs/table2_blocking.py [n_groups_synth]
 """
 import sys
 
-from _session import get_spark
-
 from repro.core.pipeline import run_group_matching
 from repro.matching import model as M
+from repro.session import get_spark
 from repro.tables.common import load_datasets, markdown_table
 from repro.tables.paper_numbers import TABLE2
 from repro.tables.table2 import run_table2

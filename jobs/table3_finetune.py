@@ -4,8 +4,7 @@ Usage: spark-submit jobs/table3_finetune.py [n_groups_synth] [n_seeds]
 """
 import sys
 
-from _session import get_spark
-
+from repro.session import get_spark
 from repro.tables.common import load_datasets, markdown_table
 from repro.tables.paper_numbers import TABLE3
 from repro.tables.table3 import run_table3

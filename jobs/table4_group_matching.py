@@ -4,8 +4,7 @@ Usage: spark-submit jobs/table4_group_matching.py [n_groups_synth]
 """
 import sys
 
-from _session import get_spark
-
+from repro.session import get_spark
 from repro.tables.common import load_datasets, markdown_table
 from repro.tables.paper_numbers import TABLE4
 from repro.tables.table4 import run_table4

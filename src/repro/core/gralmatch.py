@@ -99,8 +99,10 @@ def gralmatch(edges: DataFrame, labels: DataFrame, gamma: int,
 
     Setting ``gamma == mu`` yields the paper's -MEC variant (Minimum Edge
     Cut only); ``gamma`` larger than any component yields -BC (Betweenness
-    only).
+    only). Raises ``ValueError`` when ``gamma < mu``, before any Spark job.
     """
+    if gamma < mu:
+        raise ValueError(f"gamma ({gamma}) must be >= mu ({mu})")
     labeled = edges.join(
         labels.withColumnRenamed("id", "src"), "src"
     ).select("src", "dst", "component")

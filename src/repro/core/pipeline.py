@@ -24,7 +24,6 @@ from repro.graph.connected_components import (components_of_edges,
                                                materialize)
 from repro.matching.model import TrainedModel, serialized_records
 from repro.metrics.pairs import closure_scores, pairwise_scores
-from repro.metrics.purity import cluster_purity
 
 
 @dataclass
@@ -114,9 +113,8 @@ def run_group_matching(records: DataFrame, kind: str, model: TrainedModel,
 
     # Stage 2: transitive closure of the raw predictions.
     labels = components_of_edges(pred)
-    pre_groups = labels.withColumnRenamed("component", "group")
-    pre = closure_scores(pre_groups, records)
-    pre["purity"] = cluster_purity(pre_groups, records)
+    pre = closure_scores(labels.withColumnRenamed("component", "group"),
+                         records)
 
     # Stage 3: pre-cleanup + Algorithm 1 (GraLMatch). Pre-cleanup changes
     # the edge set, so its survivors get their own labels.
@@ -143,6 +141,5 @@ def post_stage(edges: DataFrame, labels: DataFrame, records: DataFrame,
     t0 = time.time()
     post_labels = materialize(gralmatch(edges, labels, gamma, mu))
     post = closure_scores(post_labels, records)
-    post["purity"] = cluster_purity(post_labels, records)
     post["cleanup_seconds"] = time.time() - t0
     return post, post_labels

@@ -60,9 +60,7 @@ MODELS = {
 def serialized_records(records: DataFrame, kind: str,
                        spec: ModelSpec) -> DataFrame:
     """Records with the spec's truncated serialization column ``ser``."""
-    return add_serialized(
-        records, SER_COLS[kind], spec.scheme, spec.max_len, SER_COLS[kind],
-    )
+    return add_serialized(records, SER_COLS[kind], spec.scheme, spec.max_len)
 
 
 def featurized(pairs: DataFrame, records_ser: DataFrame) -> DataFrame:

@@ -3,11 +3,11 @@
 The paper's model differences are *information-flow* differences driven by
 how records are serialized and truncated:
 
-- **plain** (DistilBERT-style): values only, in a curated order with the
-  most discriminative field first (name, identifiers, location,
-  description).
-- **ditto** (DITTO-style): ``[col] <name> [val] <value>`` segments in
-  alphabetical column order. The paper notes this "increases the amount of
+- **plain** (DistilBERT-style): values only, in table column order, which
+  is curated with the most discriminative field first (name, identifiers,
+  location, description).
+- **ditto** (DITTO-style): ``[col] <name> [val] <value>`` segments in the
+  same table column order. The paper notes this "increases the amount of
   tokens required to encode the same value information".
 
 We emulate subword (BPE) cost so that a *token budget* binds the same way
@@ -101,14 +101,14 @@ def serialize_record(values: dict, scheme: str, max_len: int,
 
 
 def add_serialized(records: DataFrame, cols: tuple, scheme: str,
-                   max_len: int, plain_order: tuple,
-                   out: str = "ser") -> DataFrame:
-    """Add a serialized-text column computed from ``cols`` via Arrow UDF."""
+                   max_len: int, out: str = "ser") -> DataFrame:
+    """Add a serialized-text column computed from ``cols``, in that order,
+    via Arrow UDF."""
 
     @pandas_udf("string")
     def ser(s: pd.DataFrame) -> pd.Series:
         return pd.Series([
-            serialize_record(row, scheme, max_len, plain_order)
+            serialize_record(row, scheme, max_len, cols)
             for row in s.to_dict("records")
         ])
 

@@ -2,10 +2,11 @@
 
 Stage 1 (pairwise) scores the predicted pairs directly. Stages 2/3 (pre /
 post Graph Cleanup) score the *transitive closure* of a group assignment —
-all intra-group pairs. Closures are never materialized: both the predicted
-pair count sum(C(n_g, 2)) and the true-positive count sum(C(n_{g,t}, 2))
-come from contingency aggregations, so a giant pre-cleanup component costs
-one groupBy, not |V|^2 rows.
+all intra-group pairs. Closures are never materialized: the predicted pair
+count sum(C(n_g, 2)), the true-positive count sum(C(n_{g,t}, 2)), the
+ground-truth pair count and the Cluster Purity all come from one
+contingency table of records per (group, ground-truth group) cell, so a
+giant pre-cleanup component costs one groupBy, not |V|^2 rows.
 
 Recall denominators use the full ground-truth pair count of the evaluated
 records (paper Section 5.3.2: blocking losses show up as lower recall).
@@ -15,10 +16,10 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-def _pairs():
-    # Built lazily — a module-level Column would need an active SparkContext
-    # at import time.
-    return F.col("n") * (F.col("n") - 1) / 2
+def _pairs(n: str):
+    """C(n, 2) of count column ``n``, as a double. Built lazily — a
+    module-level Column would need an active SparkContext at import time."""
+    return F.col(n) * (F.col(n) - 1) / 2
 
 
 def canonical_pairs(pairs: DataFrame, a: str = "src", b: str = "dst") -> DataFrame:
@@ -38,7 +39,7 @@ def gt_pair_count(records: DataFrame, gt_col: str = "gt_group") -> int:
     return int(
         records.groupBy(gt_col)
         .agg(F.count("*").alias("n"))
-        .agg(F.coalesce(F.sum(_pairs()), F.lit(0.0)))
+        .agg(F.coalesce(F.sum(_pairs("n")), F.lit(0.0)))
         .first()[0]
     )
 
@@ -72,24 +73,45 @@ def pairwise_scores(pred_pairs: DataFrame, records: DataFrame,
 
 def closure_scores(assignment: DataFrame, records: DataFrame,
                    gt_col: str = "gt_group") -> dict:
-    """P/R/F1 of the complete-subgraph closure of a group assignment.
+    """P/R/F1 and Cluster Purity of the complete-subgraph closure of a
+    group assignment, from one contingency aggregation and one Spark action.
 
     ``assignment``: (id, group) for records that belong to a multi-record
     group; records absent from it count as singletons (no predicted pairs,
-    but their ground-truth pairs stay in the recall denominator).
+    but their ground-truth pairs stay in the recall denominator). Ids absent
+    from ``records`` are ignored. The purity formula is documented in
+    :mod:`repro.metrics.purity`.
     """
     gt = records.select(F.col("record_id").alias("id"), F.col(gt_col).alias("gt"))
-    asg = assignment.join(gt, "id")
-    pred_total = int(
-        asg.groupBy("group").agg(F.count("*").alias("n"))
-        .agg(F.coalesce(F.sum(_pairs()), F.lit(0.0))).first()[0]
+    # Singleton-complete assignment: uncovered records form their own group,
+    # keyed by a negative id so it cannot collide with min-record group ids.
+    cells = (
+        gt.join(assignment, "id", "left")
+        .groupBy(F.coalesce(F.col("group"), -F.col("id") - 1).alias("group"),
+                 "gt")
+        .agg(F.count("*").alias("n"))
     )
-    tp = int(
-        asg.groupBy("group", "gt").agg(F.count("*").alias("n"))
-        .agg(F.coalesce(F.sum(_pairs()), F.lit(0.0))).first()[0]
+    nv = F.col("nv")
+    groups = (
+        cells.groupBy("group")
+        .agg(F.sum("n").alias("nv"), F.sum(_pairs("n")).alias("tp"))
+        .agg(
+            F.sum(_pairs("nv")).alias("predicted"),
+            F.sum("tp").alias("tp"),
+            F.sum(nv * F.when(nv > 1, F.col("tp") / _pairs("nv"))
+                  .otherwise(F.lit(1.0))).alias("num"),
+            F.sum("nv").alias("den"),
+        )
     )
-    gt_total = gt_pair_count(records, gt_col)
+    gts = (
+        cells.groupBy("gt").agg(F.sum("n").alias("n"))
+        .agg(F.sum(_pairs("n")).alias("gt_pairs"))
+    )
+    row = groups.crossJoin(gts).first()
+    pred_total, tp = int(row["predicted"] or 0), int(row["tp"] or 0)
+    gt_total = int(row["gt_pairs"] or 0)
     p = tp / pred_total if pred_total else 0.0
     r = tp / gt_total if gt_total else 0.0
     return {"precision": p, "recall": r, "f1": _f1(p, r),
-            "tp": tp, "predicted": pred_total, "gt_pairs": gt_total}
+            "tp": tp, "predicted": pred_total, "gt_pairs": gt_total,
+            "purity": float(row["num"] / row["den"]) if row["den"] else 1.0}

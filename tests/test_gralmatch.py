@@ -135,6 +135,11 @@ class TestGralmatchSpark:
         assert sorted(pd.Series(runs[0]).value_counts()) == [3, 3]
         assert all(r == runs[0] for r in runs)
 
+    def test_gamma_below_mu_rejected(self, spark):
+        df = _edges_df(spark, [(1, 2)])
+        with pytest.raises(ValueError, match="gamma"):
+            gralmatch(df, components_of_edges(df), 4, 5)
+
     def test_empty_edges_give_empty_assignment(self, spark):
         assert self._run(spark, [], 25, 5) == {}
 

@@ -1,5 +1,6 @@
 """Tests for pair metrics and cluster purity, oracle-checked with DuckDB."""
 import duckdb
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -138,6 +139,50 @@ class TestClosureScores:
         assert s["predicted"] == 190
         assert s["recall"] == 1.0
         assert s["precision"] == pytest.approx(10 / 190)
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_duckdb_on_random_assignments(self, spark, seed):
+        """Scores and purity equal a DuckDB recompute over the materialized
+        closure, with uncovered records and ids absent from the records."""
+        rng = np.random.default_rng(seed)
+        ids = rng.choice(10_000, size=60, replace=False)
+        recs = pd.DataFrame({"record_id": ids,
+                             "gt_group": rng.integers(0, 15, 60)})
+        covered = rng.choice(ids, size=40, replace=False)
+        absent = 10_000 + np.arange(5)
+        asg = pd.DataFrame({"id": np.concatenate([covered, absent]),
+                            "group": rng.integers(0, 8, 45)})
+        s = closure_scores(spark.createDataFrame(asg),
+                           spark.createDataFrame(recs))
+        exp = duckdb.sql(
+            """WITH a AS (
+                   SELECT r.record_id AS id, r.gt_group AS gt,
+                          coalesce(s."group", -r.record_id - 1) AS g
+                   FROM recs r LEFT JOIN asg s ON r.record_id = s.id),
+               pairs AS (
+                   SELECT x.g, CAST(x.gt = y.gt AS BIGINT) AS tp
+                   FROM a x JOIN a y ON x.g = y.g AND x.id < y.id),
+               sizes AS (SELECT g, count(*) AS nv FROM a GROUP BY g),
+               per_group AS (
+                   SELECT s.g, s.nv, count(p.g) AS e,
+                          coalesce(sum(p.tp), 0) AS tp
+                   FROM sizes s LEFT JOIN pairs p ON s.g = p.g
+                   GROUP BY s.g, s.nv)
+               SELECT sum(e) AS predicted, sum(tp) AS tp,
+                      (SELECT count(*) FROM recs x JOIN recs y
+                       ON x.gt_group = y.gt_group
+                       AND x.record_id < y.record_id) AS gt_pairs,
+                      sum(nv * CASE WHEN e > 0 THEN tp / e ELSE 1.0 END)
+                          / sum(nv) AS purity
+               FROM per_group"""
+        ).df().iloc[0]
+        assert s["predicted"] == exp["predicted"]
+        assert s["tp"] == exp["tp"]
+        assert s["gt_pairs"] == exp["gt_pairs"]
+        assert s["precision"] == pytest.approx(exp["tp"] / exp["predicted"])
+        assert s["recall"] == pytest.approx(exp["tp"] / exp["gt_pairs"])
+        assert s["purity"] == pytest.approx(float(exp["purity"]), rel=1e-12)
 
 
 class TestClusterPurity:

@@ -1,68 +1,44 @@
-"""Oracle sanity checks plus tests of the extended synth_data entry points.
+"""DuckDB oracle sanity checks on the generated synthetic company and
+security records."""
+from pyspark.sql import functions as F
 
-Demonstrates the DuckDB oracle on the provided TPC-H-lite generators and
-validates the GraLMatch-schema wrappers added to ``repro.synth_data``.
-"""
-import pytest
-
-from repro import synth_data
 from repro.oracle import assert_equivalent
 
 
-class TestOracleOnTpchLite:
-    def test_lineitem_aggregate(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        from pyspark.sql import functions as F
-        got = li.groupBy("l_returnflag").agg(
-            F.sum("l_quantity").alias("sum_qty"),
+class TestOracleOnSyntheticRecords:
+    def test_records_per_source_aggregate(self, spark, companies_pdf):
+        c = spark.createDataFrame(companies_pdf)
+        got = c.groupBy("source_id").agg(
             F.count("*").alias("cnt"),
+            F.countDistinct("gt_group").alias("groups"),
         )
         assert_equivalent(
             got,
-            """SELECT l_returnflag, SUM(l_quantity) AS sum_qty,
-                      COUNT(*) AS cnt
-               FROM li GROUP BY l_returnflag""",
-            li=li,
+            """SELECT source_id, COUNT(*) AS cnt,
+                      COUNT(DISTINCT gt_group) AS groups
+               FROM c GROUP BY source_id""",
+            c=companies_pdf,
         )
 
-    def test_orders_join(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        o = synth_data.orders(spark, sf=0.001)
-        from pyspark.sql import functions as F
-        got = (li.join(o, li.l_orderkey == o.o_orderkey)
-               .groupBy("o_orderpriority")
-               .agg(F.count("*").alias("cnt")))
+    def test_securities_companies_join(self, spark, companies_pdf,
+                                       securities_pdf):
+        c = spark.createDataFrame(companies_pdf)
+        s = spark.createDataFrame(securities_pdf)
+        got = (
+            s.join(c.select(F.col("record_id").alias("company_record_id"),
+                            F.col("source_id").alias("company_source")),
+                   "company_record_id")
+            .groupBy("company_source")
+            .agg(F.count("*").alias("cnt"),
+                 F.sum((F.col("source_id") == F.col("company_source"))
+                       .cast("long")).alias("same_source"))
+        )
         assert_equivalent(
             got,
-            """SELECT o_orderpriority, COUNT(*) AS cnt
-               FROM li JOIN o ON l_orderkey = o_orderkey
-               GROUP BY o_orderpriority""",
-            li=li, o=o,
+            """SELECT c.source_id AS company_source, COUNT(*) AS cnt,
+                      SUM(CAST(s.source_id = c.source_id AS BIGINT))
+                          AS same_source
+               FROM s JOIN c ON s.company_record_id = c.record_id
+               GROUP BY c.source_id""",
+            c=companies_pdf, s=securities_pdf,
         )
-
-
-class TestSynthDataWrappers:
-    def test_company_records(self, spark):
-        df = synth_data.company_records(spark, n_groups=50)
-        assert df.count() > 50
-        assert "gt_group" in df.columns
-
-    def test_security_records(self, spark):
-        df = synth_data.security_records(spark, n_groups=50)
-        assert {"isin", "cusip", "valor", "sedol"} <= set(df.columns)
-
-    def test_real_preset(self, spark):
-        df = synth_data.company_records(spark, n_groups=50, preset="real")
-        assert df.select("source_id").distinct().count() == 8
-
-    def test_product_records(self, spark):
-        df = synth_data.product_records(spark, n_records=100)
-        assert df.count() == 100
-
-    def test_company_security_consistency(self, spark):
-        c = synth_data.company_records(spark, n_groups=40, seed=9)
-        s = synth_data.security_records(spark, n_groups=40, seed=9)
-        c_ids = {r["record_id"] for r in c.select("record_id").collect()}
-        s_refs = {r["company_record_id"]
-                  for r in s.select("company_record_id").collect()}
-        assert s_refs <= c_ids
